@@ -51,12 +51,10 @@ const AdmmMetrics& admm_metrics() {
   return metrics;
 }
 
-// The per-SLA-group objective: block-local terms of P2 plus the method's
-// coupling surrogate on x — a quadratic pull toward `target` (ADMM: the
-// consensus point c - u; dual variant: a proximal center) and an extra
-// linear price (dual variant: nu_i + linearized tier-2 entropic). The
-// tier-2 aggregate entropic itself lives OUTSIDE the blocks, in the
-// consensus / dual update.
+// The per-SLA-group objective: block-local terms of P2 plus the ADMM
+// coupling surrogate on x, a quadratic pull toward `target` (the consensus
+// point c - u). The tier-2 aggregate entropic itself lives OUTSIDE the
+// blocks, in the consensus update.
 //
 // Local layout over the group's m edges: [x_k | y_k | s_k (| z_k)].
 class BlockObjective final : public solver::ConvexObjective {
@@ -66,7 +64,6 @@ class BlockObjective final : public solver::ConvexObjective {
       : with_z_(inst.has_tier1()), m_(edges.size()), edges_(std::move(edges)),
         eps_(eps), eps_prime_(eps_prime) {
     price_x_.assign(m_, 0.0);
-    extra_x_.assign(m_, 0.0);
     target_.assign(m_, 0.0);
     price_y_.assign(m_, 0.0);
     y_weight_.assign(m_, 0.0);
@@ -110,13 +107,12 @@ class BlockObjective final : public solver::ConvexObjective {
 
   void set_penalty(double penalty) { penalty_ = penalty; }
   Vec& mutable_target() { return target_; }
-  Vec& mutable_extra() { return extra_x_; }
 
   double value(const Vec& v) const override {
     double total = 0.0;
     for (std::size_t k = 0; k < m_; ++k) {
       const double d = v[x(k)] - target_[k];
-      total += (price_x_[k] + extra_x_[k]) * v[x(k)] +
+      total += price_x_[k] * v[x(k)] +
                0.5 * penalty_ * d * d + price_y_[k] * v[y(k)] +
                y_weight_[k] * entropic_value(v[y(k)], prev_y_[k], eps_prime_);
     }
@@ -139,7 +135,7 @@ class BlockObjective final : public solver::ConvexObjective {
 
   void gradient_into(const Vec& v, Vec& g) const override {
     for (std::size_t k = 0; k < m_; ++k) {
-      g[x(k)] = price_x_[k] + extra_x_[k] + penalty_ * (v[x(k)] - target_[k]);
+      g[x(k)] = price_x_[k] + penalty_ * (v[x(k)] - target_[k]);
       g[y(k)] = price_y_[k] + y_weight_[k] * entropic_gradient(
                                                  v[y(k)], prev_y_[k],
                                                  eps_prime_);
@@ -217,7 +213,7 @@ class BlockObjective final : public solver::ConvexObjective {
   double eps_, eps_prime_;
   double penalty_ = 0.0;
   double z_weight_ = 0.0, prev_zsum_ = 0.0;
-  Vec price_x_, extra_x_, target_, price_y_, y_weight_, prev_y_, price_z_;
+  Vec price_x_, target_, price_y_, y_weight_, prev_y_, price_z_;
 };
 
 // minimize w * entropic(S | prev, eps) + (q/2) (S - center)^2 over
@@ -316,13 +312,9 @@ struct P2DecomposedSolver::Impl {
   // edge count, and the per-slot previous aggregate.
   Vec cloud_weight, cloud_cap, prev_totals;
 
-  // Consensus ADMM state carried across slots (u also across rho rescales).
-  Vec consensus, u, x_cur, x_relaxed, c_prev;
+  // Consensus ADMM state, re-seeded every slot (u is rescaled with rho).
+  Vec consensus, u, x_cur, c_prev;
   double rho_pen = 1.0;
-  bool have_state = false;
-
-  // Dual-decomposition state.
-  Vec nu, xhat;
 
   Impl(const Instance& inst_, const RoaOptions& options_)
       : inst(inst_), options(options_), with_z(inst_.has_tier1()),
@@ -352,10 +344,7 @@ struct P2DecomposedSolver::Impl {
     consensus.assign(E, 0.0);
     u.assign(E, 0.0);
     x_cur.assign(E, 0.0);
-    x_relaxed.assign(E, 0.0);
     c_prev.assign(E, 0.0);
-    nu.assign(inst.num_tier2(), 0.0);
-    xhat.assign(inst.num_tier2(), 0.0);
     rho_pen = options.decomposition.rho;
   }
 
@@ -367,8 +356,8 @@ struct P2DecomposedSolver::Impl {
   // iterates physical and bounded), and with a tier-1 term s <= z, z >= 0,
   // sum z <= C'_j — block-local because the group owns all of site j's
   // edges. The relaxed coupling rows sum_{e in i} x <= C_i and the (3d)
-  // rows are NOT generated here; consensus / restoration owns the former
-  // and Lemma 1 (slackness at the optimum) covers the latter.
+  // rows are NOT generated here; consensus / restoration owns the former,
+  // and the capacity rows (1b)/(1c) imply the latter.
   void build_block_constraints(Block& b) {
     const std::size_t m = b.edges.size();
     const BlockObjective& L = *b.objective;
@@ -484,29 +473,6 @@ struct P2DecomposedSolver::Impl {
     return opts;
   }
 
-  // Shared tail of the sequential and batched paths: accounting, failure
-  // capture, and acceptance of one block's barrier result.
-  void record_block_result(Block& b, const solver::IpmResult& result) {
-    if (obs::metrics_enabled()) admm_metrics().block_solves->inc();
-    b.newton_steps += result.newton_steps;
-    if (!result.ok()) {
-      b.failed = true;
-      b.fail_detail = "block " + std::to_string(b.j) + ": " +
-                      (result.detail.empty() ? solver::to_string(result.status)
-                                             : result.detail);
-      return;
-    }
-    for (const double v : result.x)
-      if (!std::isfinite(v)) {
-        b.failed = true;
-        b.fail_detail =
-            "block " + std::to_string(b.j) + ": non-finite solution";
-        return;
-      }
-    b.local = result.x;
-    b.ineq_dual = result.ineq_dual;
-  }
-
   // One barrier solve of block `b` with the current coupling surrogate
   // already written into its objective. Never throws; failures are recorded
   // in the block for the (serial) caller to inspect after the fan-out.
@@ -515,80 +481,42 @@ struct P2DecomposedSolver::Impl {
       SORA_TRACE_SPAN("admm/block");
       const solver::IpmResult result =
           b.barrier.solve(*b.objective, b.anchor, block_solve_options());
-      record_block_result(b, result);
+      if (obs::metrics_enabled()) admm_metrics().block_solves->inc();
+      b.newton_steps += result.newton_steps;
+      if (!result.ok()) {
+        b.failed = true;
+        b.fail_detail = "block " + std::to_string(b.j) + ": " +
+                        (result.detail.empty()
+                             ? solver::to_string(result.status)
+                             : result.detail);
+        return;
+      }
+      for (const double v : result.x)
+        if (!std::isfinite(v)) {
+          b.failed = true;
+          b.fail_detail =
+              "block " + std::to_string(b.j) + ": non-finite solution";
+          return;
+        }
+      b.local = result.x;
+      b.ineq_dual = result.ineq_dual;
     } catch (const std::exception& e) {
       b.failed = true;
       b.fail_detail = "block " + std::to_string(b.j) + ": " + e.what();
     }
   }
 
-  // Batched fan-out: stage every block via BlockBarrier::prepare, run the
-  // fleet through solve_barrier_batch — same-dimension dense Newton systems
-  // factor in lockstep across blocks, sparse blocks share one symbolic
-  // analysis per structure signature, chunks spread over the shared pool —
-  // then replay solve_block's result handling per block. Per-block results
-  // are bitwise identical to the sequential path.
-  void run_blocks_batched() {
-    SORA_TRACE_SPAN("admm/block_batch");
-    const solver::BlockSolveOptions opts = block_solve_options();
-    std::vector<solver::BarrierBatchItem> items;
-    std::vector<Block*> staged;
-    items.reserve(blocks.size());
-    staged.reserve(blocks.size());
-    for (Block& b : blocks) {
-      try {
-        solver::IpmOptions effective;
-        solver::IpmResult failure;
-        if (!b.barrier.prepare(b.anchor, opts, effective, failure)) {
-          record_block_result(b, failure);
-          continue;
-        }
-        solver::BarrierBatchItem item;
-        item.objective = b.objective.get();
-        item.g = &b.barrier.constraints();
-        item.h = &b.barrier.rhs();
-        item.x0 = &b.barrier.start();
-        item.options = effective;
-        item.scratch = b.barrier.scratch();
-        items.push_back(std::move(item));
-        staged.push_back(&b);
-      } catch (const std::exception& e) {
-        b.failed = true;
-        b.fail_detail = "block " + std::to_string(b.j) + ": " + e.what();
-      }
-    }
-    solver::solve_barrier_batch(items.data(), items.size());
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      Block& b = *staged[i];
-      const solver::BarrierBatchItem& item = items[i];
-      if (!item.error.empty()) {
-        // The batch equivalent of solve_block's catch branch.
-        b.failed = true;
-        b.fail_detail = "block " + std::to_string(b.j) + ": " + item.error;
-        continue;
-      }
-      b.barrier.commit(item.result);
-      record_block_result(b, item.result);
-    }
-  }
-
-  // Fan the block solves out — batched through solve_barrier_batch by
-  // default, per-block on the pool (guided chunking: SLA groups vary a lot
-  // in size, so on-demand chunks keep the largest group from serializing the
-  // tail) when batching is off, strictly serial when max_parallel_blocks ==
-  // 1 and batching is off. The batched path is bitwise identical to the
-  // serial baseline, so it stays on even for determinism runs.
+  // Fan the block solves out on the shared pool (guided chunking: SLA groups
+  // vary a lot in size, so on-demand chunks keep the largest group from
+  // serializing the tail), or strictly serially when max_parallel_blocks ==
+  // 1. Each block writes only its own state, so both agree bitwise.
   bool run_blocks(std::string& detail) {
-    if (options.decomposition.batch_block_solves && blocks.size() > 1) {
-      run_blocks_batched();
+    const auto body = [this](std::size_t bi) { solve_block(blocks[bi]); };
+    if (options.decomposition.max_parallel_blocks == 1) {
+      for (std::size_t bi = 0; bi < blocks.size(); ++bi) body(bi);
     } else {
-      const auto body = [this](std::size_t bi) { solve_block(blocks[bi]); };
-      if (options.decomposition.max_parallel_blocks == 1) {
-        for (std::size_t bi = 0; bi < blocks.size(); ++bi) body(bi);
-      } else {
-        util::parallel_for(0, blocks.size(), body, 1,
-                           util::ForSchedule::kGuided);
-      }
+      util::parallel_for(0, blocks.size(), body, 1,
+                         util::ForSchedule::kGuided);
     }
     for (const Block& b : blocks)
       if (b.failed) {
@@ -618,13 +546,13 @@ struct P2DecomposedSolver::Impl {
       if (ids.empty()) continue;
       const double n = static_cast<double>(ids.size());
       double a = 0.0;
-      for (const std::size_t e : ids) a += x_relaxed[e] + u[e];
+      for (const std::size_t e : ids) a += x_cur[e] + u[e];
       const double S =
           solve_aggregate_1d(cloud_weight[i], prev_totals[i], options.eps,
                              rho_pen / n, a, cloud_cap[i]);
       const double shift = (S - a) / n;
       for (const std::size_t e : ids)
-        consensus[e] = x_relaxed[e] + u[e] + shift;
+        consensus[e] = x_cur[e] + u[e] + shift;
     }
   }
 
@@ -632,7 +560,6 @@ struct P2DecomposedSolver::Impl {
   // Consensus ADMM main loop.
   bool solve_admm(DecomposedResult& out, std::string& detail) {
     const DecompositionOptions& dec = options.decomposition;
-    const double alpha = std::clamp(dec.relaxation, 1.0, 1.8);
     const double sqrt_e = std::sqrt(static_cast<double>(E));
 
     // Curvature-matched penalty: the coupling the consensus step carries is
@@ -674,11 +601,8 @@ struct P2DecomposedSolver::Impl {
       gather_x();
 
       c_prev = consensus;
-      for (std::size_t e = 0; e < E; ++e)
-        x_relaxed[e] = alpha * x_cur[e] + (1.0 - alpha) * consensus[e];
       consensus_update();
-      for (std::size_t e = 0; e < E; ++e)
-        u[e] += x_relaxed[e] - consensus[e];
+      for (std::size_t e = 0; e < E; ++e) u[e] += x_cur[e] - consensus[e];
 
       r_norm = norm2_diff(x_cur, consensus);
       s_norm = rho_pen * norm2_diff(consensus, c_prev);
@@ -717,75 +641,6 @@ struct P2DecomposedSolver::Impl {
                ", s=" + std::to_string(s_norm) + ")";
       return false;
     }
-    return true;
-  }
-
-  // -------------------------------------------------------------------------
-  // Dual-decomposition variant: price the capacity rows with nu_i >= 0,
-  // linearize the tier-2 entropic around the smoothed aggregate estimate
-  // xhat_i, keep the blocks honest with a small proximal term, and take
-  // diminishing projected subgradient steps on nu.
-  bool solve_dual(DecomposedResult& out, std::string& detail) {
-    const DecompositionOptions& dec = options.decomposition;
-    if (!have_state) {
-      std::fill(nu.begin(), nu.end(), 0.0);
-      xhat = prev_totals;
-    }
-    const double beta = std::clamp(dec.dual_smoothing, 0.01, 1.0);
-    bool converged = false;
-    double drift = 0.0, viol = 0.0;
-    std::size_t iter = 0;
-    for (; iter < dec.max_iterations; ++iter) {
-      SORA_TRACE_SPAN("admm/iteration");
-      for (Block& b : blocks) {
-        BlockObjective& L = *b.objective;
-        L.set_penalty(dec.rho);
-        Vec& target = L.mutable_target();
-        Vec& extra = L.mutable_extra();
-        for (std::size_t k = 0; k < b.edges.size(); ++k) {
-          const std::size_t e = b.edges[k];
-          const std::size_t i = inst.edges[e].tier2;
-          target[k] = x_cur[e];
-          extra[k] = nu[i] + cloud_weight[i] * entropic_gradient(
-                                                   xhat[i], prev_totals[i],
-                                                   options.eps);
-        }
-      }
-      if (!run_blocks(detail)) return false;
-      gather_x();
-
-      const double step =
-          dec.dual_step / std::sqrt(static_cast<double>(iter + 1));
-      drift = 0.0;
-      viol = 0.0;
-      for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-        if (inst.edges_of_tier2[i].empty()) continue;
-        double total = 0.0;
-        for (const std::size_t e : inst.edges_of_tier2[i]) total += x_cur[e];
-        const double v = total - cloud_cap[i];
-        nu[i] = std::max(0.0, nu[i] + step * v);
-        viol = std::max(viol, v / std::max(1.0, cloud_cap[i]));
-        drift = std::max(drift, std::abs(total - xhat[i]) /
-                                    std::max(1.0, std::abs(total)));
-        xhat[i] = (1.0 - beta) * xhat[i] + beta * total;
-      }
-      if (viol <= dec.eps_rel && drift <= dec.eps_rel) {
-        ++iter;
-        converged = true;
-        break;
-      }
-    }
-
-    out.iterations = iter;
-    out.primal_residual = std::max(0.0, viol);
-    out.dual_residual = drift;
-    if (!converged) {
-      detail = "dual decomposition stalled after " + std::to_string(iter) +
-               " iterations (violation=" + std::to_string(viol) +
-               ", drift=" + std::to_string(drift) + ")";
-      return false;
-    }
-    have_state = true;
     return true;
   }
 
@@ -866,10 +721,7 @@ struct P2DecomposedSolver::Impl {
     obs::FlightRecord rec;
     rec.context = "p2_admm";
     rec.slot = t;
-    rec.backend = options.decomposition.method ==
-                          DecompositionOptions::Method::kConsensusAdmm
-                      ? "decomposed_admm"
-                      : "decomposed_dual";
+    rec.backend = to_string(SolveBackend::kDecomposedAdmm);
     rec.status = status;
     rec.iterations = out.iterations;
     rec.detail = detail + " (primal " + std::to_string(out.primal_residual) +
@@ -900,7 +752,7 @@ struct P2DecomposedSolver::Impl {
       b.newton_steps = 0;
       b.failed = false;
     }
-    // Fresh consensus/dual state every slot (only the per-block barrier warm
+    // Fresh consensus state every slot (only the per-block barrier warm
     // starts carry over). Carrying the converged (c, u) pair across slots
     // looks like the natural ADMM warm start, but the slot change (demand,
     // prices, entropic centers) perturbs it into a near-stationary
@@ -915,16 +767,11 @@ struct P2DecomposedSolver::Impl {
       const double share = in.lambda(j) / static_cast<double>(ids.size());
       for (const std::size_t e : ids) {
         consensus[e] = std::max(std::max(0.0, prev.x[e]), share);
-        x_cur[e] = consensus[e];
         u[e] = 0.0;
       }
     }
 
-    const bool ok =
-        options.decomposition.method ==
-                DecompositionOptions::Method::kConsensusAdmm
-            ? solve_admm(out, detail)
-            : solve_dual(out, detail);
+    const bool ok = solve_admm(out, detail);
 
     out.newton_steps = 0;
     for (const Block& b : blocks) out.newton_steps += b.newton_steps;
@@ -937,8 +784,6 @@ struct P2DecomposedSolver::Impl {
     }
     if (!ok) {
       record_stall(t, out, detail, "stall");
-      // Broken trajectory: restart the consensus/dual state next slot.
-      have_state = false;
       return false;
     }
 
@@ -958,7 +803,6 @@ struct P2DecomposedSolver::Impl {
     if (!restore_feasibility(in, x, y, s, z, detail)) {
       if (obs::metrics_enabled()) admm_metrics().stalls->inc();
       record_stall(t, out, detail, "restore_infeasible");
-      have_state = false;
       return false;
     }
 
@@ -974,7 +818,7 @@ struct P2DecomposedSolver::Impl {
     // Named multipliers from the final block solves. These constraints are
     // block-local, so at consensus the block KKT system matches the global
     // one; delta is identically zero (the (3d) rows are never generated —
-    // Lemma 1 keeps them slack at the optimum).
+    // the capacity rows (1b)/(1c) imply them).
     out.rho.assign(E, 0.0);
     out.phi.assign(E, 0.0);
     out.theta.assign(E, 0.0);
@@ -995,7 +839,6 @@ struct P2DecomposedSolver::Impl {
   }
 
   void reset_warm_start() {
-    have_state = false;
     for (Block& b : blocks) b.barrier.reset_warm_start();
   }
 };

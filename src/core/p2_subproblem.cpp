@@ -1169,7 +1169,7 @@ struct P2Workspace::Impl {
     return true;
   }
 
-  // One decomposed (ADMM / dual) attempt: solve, let the fault hook
+  // One decomposed (consensus ADMM) attempt: solve, let the fault hook
   // interfere, demote non-finite answers, and on success adopt the point
   // into the workspace (true-objective evaluation + monolithic warm-start
   // state) along with the block-recovered multipliers.
@@ -1193,17 +1193,12 @@ struct P2Workspace::Impl {
       fail += fail.empty() ? "non-finite solution" : " [non-finite solution]";
     }
     ++attempt;
-    const SolveBackend backend =
-        options.decomposition.method ==
-                DecompositionOptions::Method::kConsensusAdmm
-            ? SolveBackend::kDecomposedAdmm
-            : SolveBackend::kDecomposedDual;
-    outcome.backend = backend;
+    outcome.backend = SolveBackend::kDecomposedAdmm;
     outcome.status = status;
     if (status != solver::SolveStatus::kOptimal) {
       if (!outcome.detail.empty()) outcome.detail += "; ";
       // Status name first: the anomaly classifier keys on these tokens.
-      outcome.detail += std::string(to_string(backend)) + ": " +
+      outcome.detail += std::string(to_string(outcome.backend)) + ": " +
                         solver::to_string(status) +
                         (fail.empty() ? "" : " (" + fail + ")");
       return false;

@@ -47,12 +47,12 @@ enum class SolveBackend {
   kPdhg,          // PDHG on the slot's linear surrogate
   kHoldRepair,    // graceful degradation: hold x_{t-1} + cheapest repair
   kDecomposedAdmm,  // block-decomposed consensus ADMM over per-SLA-group
-                    // barrier solves (core/p2_decomposed)
-  kDecomposedDual,  // dual-decomposition variant behind the same interface
+                    // barrier solves (core/p2_decomposed); keep last
 };
 
 const char* to_string(SolveBackend backend);
-inline constexpr std::size_t kNumBackends = 8;
+inline constexpr std::size_t kNumBackends =
+    static_cast<std::size_t>(SolveBackend::kDecomposedAdmm) + 1;
 
 /// How one slot's solve ended: status, producing backend, chain depth.
 struct SolveOutcome {

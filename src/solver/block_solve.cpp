@@ -25,9 +25,9 @@ double BlockBarrier::min_slack(const linalg::Vec& v) {
   return m;
 }
 
-bool BlockBarrier::prepare(const linalg::Vec& anchor,
-                           const BlockSolveOptions& options,
-                           IpmOptions& effective, IpmResult& failure) {
+IpmResult BlockBarrier::solve(const ConvexObjective& objective,
+                              const linalg::Vec& anchor,
+                              const BlockSolveOptions& options) {
   SORA_CHECK_MSG(anchor.size() == g_.cols(), "block anchor size mismatch");
 
   bool warm = false;
@@ -47,39 +47,26 @@ bool BlockBarrier::prepare(const linalg::Vec& anchor,
   }
   if (!warm) {
     if (min_slack(anchor) <= 0.0) {
-      failure = IpmResult{};
-      failure.status = SolveStatus::kNumericalError;
-      failure.detail = "block anchor not strictly interior";
-      return false;
+      IpmResult failed;
+      failed.status = SolveStatus::kNumericalError;
+      failed.detail = "block anchor not strictly interior";
+      return failed;
     }
     start_ = anchor;
   }
 
-  effective = options.ipm;
+  IpmOptions ipm = options.ipm;
   if (warm) {
     // Near-optimal starts waste outer iterations re-climbing from t0; jump
     // the barrier multiplier so the first center is already within a modest
     // gap of the warm point (mirrors core/p2_subproblem).
-    effective.t0 = std::max(effective.t0, static_cast<double>(g_.rows()) / 1e-2);
+    ipm.t0 = std::max(ipm.t0, static_cast<double>(g_.rows()) / 1e-2);
   }
-  return true;
-}
-
-void BlockBarrier::commit(const IpmResult& result) {
+  IpmResult result = solve_barrier(objective, g_, h_, start_, ipm, &scratch_);
   if (result.ok()) {
     last_opt_ = result.x;
     has_last_ = true;
   }
-}
-
-IpmResult BlockBarrier::solve(const ConvexObjective& objective,
-                              const linalg::Vec& anchor,
-                              const BlockSolveOptions& options) {
-  IpmOptions ipm;
-  IpmResult failed;
-  if (!prepare(anchor, options, ipm, failed)) return failed;
-  IpmResult result = solve_barrier(objective, g_, h_, start_, ipm, &scratch_);
-  commit(result);
   return result;
 }
 

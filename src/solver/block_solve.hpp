@@ -1,5 +1,5 @@
-// Re-entrant per-block barrier solves for decomposed (ADMM / dual
-// decomposition) pipelines.
+// Re-entrant per-block barrier solves for the decomposed (consensus ADMM)
+// P2 pipeline.
 //
 // A BlockBarrier bundles everything one block of a decomposed problem needs
 // to solve its subproblem repeatedly — across ADMM iterations within a slot
@@ -49,8 +49,6 @@ class BlockBarrier {
   /// Calling set_problem again drops warm-start state and the cache.
   void set_problem(linalg::SparseMatrix g, linalg::Vec h);
 
-  const linalg::SparseMatrix& constraints() const { return g_; }
-  const linalg::Vec& rhs() const { return h_; }
   /// In-place value patching between solves (same sparsity / row count).
   linalg::SparseMatrix& mutable_constraints() { return g_; }
   linalg::Vec& mutable_rhs() { return h_; }
@@ -66,22 +64,6 @@ class BlockBarrier {
   /// warm-start seed.
   IpmResult solve(const ConvexObjective& objective, const linalg::Vec& anchor,
                   const BlockSolveOptions& options);
-
-  /// Stage a solve without invoking the IPM: compute the warm/cold starting
-  /// point (same blend escalation as solve()) and the effective IpmOptions
-  /// (warm t0 boost). Returns false — with `failure` filled exactly the way
-  /// solve() would have reported it — when neither the blended warm start
-  /// nor the anchor is strictly interior. On true, batch callers feed
-  /// start()/scratch() to solve_barrier_batch and finish with commit();
-  /// solve() itself is prepare + solve_barrier + commit.
-  bool prepare(const linalg::Vec& anchor, const BlockSolveOptions& options,
-               IpmOptions& effective, IpmResult& failure);
-  /// Starting point staged by the last successful prepare().
-  const linalg::Vec& start() const { return start_; }
-  /// The block-private scratch (symbolic cache lives here across solves).
-  IpmScratch* scratch() { return &scratch_; }
-  /// Retain a batch-run result as the next warm-start seed (solve()'s tail).
-  void commit(const IpmResult& result);
 
   bool has_warm_start() const { return has_last_; }
   const linalg::Vec& last_optimum() const { return last_opt_; }

@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 
-#include "linalg/batched_cholesky.hpp"
 #include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "solver/lp.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace sora::solver {
@@ -136,15 +131,17 @@ std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
   return h * 1099511628211ULL;
 }
 
-// Structure pass shared by prepare_sparse_normal and the batch router: fill
-// c.obj_pattern / c.active_rows and compute the structure signature over the
-// problem shape, the objective's Hessian pattern, and the constraint pattern
-// restricted to ACTIVE rows (rows with any nonzero stored value). Returns
-// false when the sparse path is structurally unavailable for this problem.
-bool sparse_structure_signature(const ConvexObjective& objective,
-                                const SparseMatrix* g, std::size_t n,
-                                const IpmOptions& options, SparseNormalCache& c,
-                                std::uint64_t& sig_out) {
+// Decide dense vs sparse for this solve, (re)building the symbolic cache
+// when the structure signature changed. The signature covers the problem
+// shape, the objective's Hessian pattern, and the constraint pattern
+// restricted to ACTIVE rows (rows with any nonzero stored value). The P2
+// workspaces patch conditional rows on and off by zeroing their values in a
+// fixed CSR pattern, and excluding the zeroed rows both keeps the normal
+// matrix sparse and re-triggers analysis exactly when the effective
+// structure moves.
+bool prepare_sparse_normal(const ConvexObjective& objective,
+                           const SparseMatrix* g, std::size_t n,
+                           const IpmOptions& options, SparseNormalCache& c) {
   if (g == nullptr || n < options.sparse_min_dim) return false;
   c.obj_pattern.clear();
   if (!objective.hessian_lower_structure(c.obj_pattern)) return false;
@@ -173,25 +170,6 @@ bool sparse_structure_signature(const ConvexObjective& objective,
     for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
       sig = fnv64(sig, cols[k]);
   }
-  sig_out = sig;
-  return true;
-}
-
-// Decide dense vs sparse for this solve, (re)building the symbolic cache
-// when the structure signature changed. The P2 workspaces patch conditional
-// rows on and off by zeroing their values in a fixed CSR pattern, and
-// excluding the zeroed rows (see sparse_structure_signature) both keeps the
-// normal matrix sparse and re-triggers analysis exactly when the effective
-// structure moves.
-bool prepare_sparse_normal(const ConvexObjective& objective,
-                           const SparseMatrix* g, std::size_t n,
-                           const IpmOptions& options, SparseNormalCache& c) {
-  std::uint64_t sig = 0;
-  if (!sparse_structure_signature(objective, g, n, options, c, sig))
-    return false;
-
-  const auto& offsets = g->row_offsets();
-  const auto& cols = g->col_indices();
 
   if (c.valid && sig == c.signature) {
     if (c.use_sparse) ipm_metrics().symbolic_reuse->inc();
@@ -479,378 +457,6 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Batched execution (solve_barrier_batch): many independent instances, the
-// dense Newton factor+solve vectorized across same-dimension instances.
-// ---------------------------------------------------------------------------
-
-struct BatchMetrics {
-  obs::Counter* solves;
-  obs::Counter* lockstep_instances;
-  obs::Counter* factor_fallbacks;
-  obs::Counter* symbolic_adopted;
-  obs::Histogram* lockstep_width;
-};
-
-const BatchMetrics& batch_metrics() {
-  static const BatchMetrics metrics = [] {
-    auto& reg = obs::Registry::global();
-    return BatchMetrics{
-        &reg.counter("sora_batch_solves_total",
-                     "Barrier instances entering solve_barrier_batch"),
-        &reg.counter("sora_batch_lockstep_instances_total",
-                     "Instances routed to the dense lockstep kernel"),
-        &reg.counter("sora_batch_factor_fallbacks_total",
-                     "Lockstep factors escalated to the serial regularized "
-                     "path (non-positive pivot or non-finite input)"),
-        &reg.counter("sora_batch_symbolic_adopted_total",
-                     "Sparse symbolic caches adopted from a same-signature "
-                     "donor instead of re-analysed"),
-        &reg.histogram("sora_batch_lockstep_width", "instances",
-                       "Active lanes per batched Newton factor round",
-                       obs::exponential_buckets(1.0, 2.0, 10)),
-    };
-  }();
-  return metrics;
-}
-
-// One instance inside a dense lockstep group. The scalar fields mirror the
-// locals of solve_barrier_impl one for one; the state machine below replays
-// that function's exact statement order per lane, with only the Newton
-// factor+solve hoisted into the batched kernel.
-struct DenseLane {
-  BarrierBatchItem* item = nullptr;
-  IpmScratch* ws = nullptr;
-  Vec x;
-  std::size_t m = 0;
-  double t = 0.0;
-  std::size_t newton_budget = 0;
-  std::size_t steps_used = 0;
-  std::size_t backtracks_total = 0;
-  std::size_t centerings = 0;
-  std::size_t steps_this_center = 0;
-  double factor_seconds = 0.0;
-  double solve_seconds = 0.0;
-  bool have_center = false;
-  double centered_t = 0.0;
-  bool entering_center = true;  // next step opens a new centering phase
-  bool stepping = false;        // a Newton system was assembled this round
-  bool lane_serial = false;     // this step's factor took the serial path
-  bool done = false;
-};
-
-// Run one group of dense-path instances of common dimension n in lockstep.
-// Per-lane results are bitwise identical to serial solve_barrier: assembly,
-// line search, and the t-schedule are the serial statements per lane, and
-// the batched factor/solve mirrors the serial kernel bit for bit (lanes
-// whose plain factor fails re-run the serial regularized factor, which
-// itself retries shift 0 first — exactly the sequential semantics).
-void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
-                        std::size_t count, std::size_t n, bool obs_on) {
-  linalg::BatchedDenseCholesky kernel;
-  kernel.configure(n, count);
-  std::vector<DenseLane> lanes(count);
-
-  const auto slacks_into = [](const SparseMatrix& g, const Vec& h,
-                              const Vec& point, Vec& s) {
-    g.multiply_into(point, s);
-    for (std::size_t i = 0; i < s.size(); ++i) s[i] = h[i] - s[i];
-  };
-
-  const auto lane_fail = [](DenseLane& lane, const std::exception& e) {
-    lane.item->error = e.what();
-    lane.item->result.status = SolveStatus::kNumericalError;
-    lane.item->result.detail = e.what();
-    lane.done = true;
-  };
-
-  // Mirror of the serial epilogue: metrics, result fill, dual recovery from
-  // the last certified center.
-  const auto lane_finish = [&](DenseLane& lane) {
-    IpmScratch& ws = *lane.ws;
-    BarrierBatchItem& it = *lane.item;
-    if (obs_on) {
-      const IpmMetrics& metrics = ipm_metrics();
-      metrics.newton_steps->observe(static_cast<double>(lane.steps_used));
-      metrics.backtracks->observe(static_cast<double>(lane.backtracks_total));
-      metrics.centerings->observe(static_cast<double>(lane.centerings));
-      metrics.cholesky_seconds->observe(lane.factor_seconds +
-                                        lane.solve_seconds);
-      metrics.factor_seconds->observe(lane.factor_seconds);
-      metrics.solve_seconds->observe(lane.solve_seconds);
-      metrics.final_gap->observe(static_cast<double>(lane.m) / lane.t);
-    }
-    it.result.x = lane.x;
-    it.result.objective = it.objective->value(lane.x);
-    it.result.newton_steps = lane.steps_used;
-    const Vec& dual_point = lane.have_center ? ws.centered_x : lane.x;
-    const double dual_t = lane.have_center ? lane.centered_t : lane.t;
-    slacks_into(*it.g, *it.h, dual_point, ws.s);
-    it.result.ineq_dual.assign(lane.m, 0.0);
-    for (std::size_t i = 0; i < lane.m; ++i)
-      it.result.ineq_dual[i] =
-          1.0 / (dual_t * std::max(ws.s[i], it.options.slack_floor));
-    lane.done = true;
-  };
-
-  // Mirror of the serial code between the inner Newton loop's exit and the
-  // next `t *= mu`: progress log, stop checks, barrier advance.
-  const auto lane_end_center = [&](DenseLane& lane) {
-    BarrierBatchItem& it = *lane.item;
-    const IpmOptions& o = it.options;
-    if (o.log_progress) {
-      SORA_LOG_DEBUG << "ipm t=" << lane.t
-                     << " gap<=" << (static_cast<double>(lane.m) / lane.t)
-                     << " f=" << it.objective->value(lane.x);
-    }
-    if (static_cast<double>(lane.m) / lane.t < o.tol) {
-      it.result.status = SolveStatus::kOptimal;
-      lane_finish(lane);
-      return;
-    }
-    if (lane.newton_budget == 0) {
-      const double gap = static_cast<double>(lane.m) / lane.t;
-      it.result.status = gap < o.acceptable_gap ? SolveStatus::kOptimal
-                                                : SolveStatus::kIterationLimit;
-      it.result.detail =
-          "newton budget exhausted at gap " + std::to_string(gap);
-      lane_finish(lane);
-      return;
-    }
-    lane.t *= o.mu;
-    lane.entering_center = true;
-  };
-
-  // ---- Lane init: the serial preamble per instance.
-  for (std::size_t b = 0; b < count; ++b) {
-    DenseLane& lane = lanes[b];
-    lane.item = items[b];
-    lane.ws = scratches[b];
-    BarrierBatchItem& it = *lane.item;
-    IpmScratch& ws = *lane.ws;
-    try {
-      const std::size_t m = it.g->rows();
-      SORA_CHECK(it.g->cols() == n && it.h->size() == m);
-      lane.m = m;
-      ws.s.resize(m);
-      ws.inv_s.resize(m);
-      ws.hess_w.resize(m);
-      ws.s_try.resize(m);
-      ws.gdx.resize(m);
-      ws.grad.resize(n);
-      ws.dx.resize(n);
-      ws.x_try.resize(n);
-      ws.gt_inv_s.resize(n);
-      if (ws.hess.rows() != n || ws.hess.cols() != n)
-        ws.hess = Matrix(n, n, 0.0);
-      if (ws.chol.rows() != n || ws.chol.cols() != n)
-        ws.chol = Matrix(n, n, 0.0);
-      lane.x = *it.x0;
-      slacks_into(*it.g, *it.h, lane.x, ws.s);
-      if (min_slack(ws.s) <= 0.0) {
-        it.result.status = SolveStatus::kNumericalError;
-        it.result.detail = "starting point not strictly feasible (min slack " +
-                           std::to_string(min_slack(ws.s)) + ")";
-        it.result.x = lane.x;
-        lane.done = true;
-        continue;
-      }
-      lane.t = it.options.t0;
-      lane.newton_budget = it.options.max_newton_steps;
-    } catch (const std::exception& e) {
-      lane_fail(lane, e);
-    }
-  }
-
-  std::vector<char> active(count, 0);
-  while (true) {
-    bool any_live = false;
-    for (const DenseLane& lane : lanes) any_live |= !lane.done;
-    if (!any_live) break;
-
-    // ---- Phase A: per-lane Newton-system assembly (serial statements).
-    std::fill(active.begin(), active.end(), 0);
-    for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done) continue;
-      BarrierBatchItem& it = *lane.item;
-      const IpmOptions& o = it.options;
-      IpmScratch& ws = *lane.ws;
-      lane.stepping = false;
-      lane.lane_serial = false;
-      if (lane.entering_center) {
-        ++lane.centerings;
-        lane.steps_this_center = 0;
-        lane.entering_center = false;
-      }
-      if (!(lane.newton_budget > 0 &&
-            lane.steps_this_center < o.max_steps_per_center)) {
-        lane_end_center(lane);
-        continue;
-      }
-      ++lane.steps_this_center;
-      try {
-        slacks_into(*it.g, *it.h, lane.x, ws.s);
-        it.objective->gradient_into(lane.x, ws.grad);
-        linalg::scale(ws.grad, lane.t);
-        for (std::size_t i = 0; i < lane.m; ++i)
-          ws.inv_s[i] = 1.0 / std::max(ws.s[i], o.slack_floor);
-        it.g->multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
-        for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
-        for (std::size_t i = 0; i < lane.m; ++i)
-          ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
-        it.objective->hessian_into(lane.x, ws.hess);
-        for (std::size_t r = 0; r < n; ++r) {
-          double* hrow = ws.hess.row_ptr(r);
-          for (std::size_t c = 0; c < n; ++c) hrow[c] *= lane.t;
-        }
-        it.g->add_AtDA(ws.hess_w, ws.hess);
-        lane.stepping = true;
-        bool finite = true;
-        for (const double v : ws.hess.data())
-          if (!std::isfinite(v)) {
-            finite = false;
-            break;
-          }
-        if (!finite) {
-          // The serial regularized factor raises the identical CheckError for
-          // non-finite input; route through it so the failure text matches.
-          util::ScopedTimer timer(obs_on ? &lane.factor_seconds : nullptr);
-          linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
-                                                   1e16);
-          lane.lane_serial = true;
-        } else {
-          kernel.pack(b, ws.hess);
-          active[b] = 1;
-        }
-      } catch (const std::exception& e) {
-        lane_fail(lane, e);
-      }
-    }
-
-    // ---- Batched factor across the active lanes.
-    std::size_t width = 0;
-    for (const char a : active) width += a != 0 ? 1 : 0;
-    if (width > 0) {
-      double secs = 0.0;
-      {
-        util::ScopedTimer timer(obs_on ? &secs : nullptr);
-        kernel.factor(active);
-      }
-      if (obs_on) {
-        batch_metrics().lockstep_width->observe(static_cast<double>(width));
-        const double share = secs / static_cast<double>(width);
-        for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0) lanes[b].factor_seconds += share;
-      }
-    }
-
-    // ---- Escalations + rhs staging for the batched triangular solve.
-    std::size_t solve_width = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done || !lane.stepping || active[b] == 0) continue;
-      IpmScratch& ws = *lane.ws;
-      if (kernel.ok(b)) {
-        for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-        kernel.set_rhs(b, ws.dx);
-        ++solve_width;
-      } else {
-        // Plain factor failed for this lane: the serial regularized factor
-        // replays the identical retry-then-escalate sequence (shift 0 first).
-        if (obs_on) batch_metrics().factor_fallbacks->inc();
-        try {
-          util::ScopedTimer timer(obs_on ? &lane.factor_seconds : nullptr);
-          linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
-                                                   1e16);
-          lane.lane_serial = true;
-        } catch (const std::exception& e) {
-          lane_fail(lane, e);
-        }
-      }
-    }
-    if (solve_width > 0) {
-      double secs = 0.0;
-      {
-        util::ScopedTimer timer(obs_on ? &secs : nullptr);
-        kernel.solve();
-      }
-      if (obs_on) {
-        const double share = secs / static_cast<double>(solve_width);
-        for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0 && !lanes[b].done && !lanes[b].lane_serial)
-            lanes[b].solve_seconds += share;
-      }
-    }
-
-    // ---- Phase B: decrement test, line search, and transitions per lane.
-    for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done || !lane.stepping) continue;
-      BarrierBatchItem& it = *lane.item;
-      const IpmOptions& o = it.options;
-      IpmScratch& ws = *lane.ws;
-      try {
-        if (lane.lane_serial) {
-          util::ScopedTimer timer(obs_on ? &lane.solve_seconds : nullptr);
-          for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-          linalg::cholesky_solve_in_place(ws.chol, ws.dx);
-        } else {
-          kernel.get_rhs(b, ws.dx);
-        }
-
-        const double decrement2 = -linalg::dot(ws.grad, ws.dx);
-        --lane.newton_budget;
-        ++lane.steps_used;
-        if (decrement2 / 2.0 <= o.newton_tol) {
-          ws.centered_x = lane.x;
-          lane.have_center = true;
-          lane.centered_t = lane.t;
-          lane_end_center(lane);
-          continue;
-        }
-
-        double step = 1.0;
-        {
-          it.g->multiply_into(ws.dx, ws.gdx);
-          for (std::size_t i = 0; i < lane.m; ++i) {
-            if (ws.gdx[i] > 0.0) {
-              const double limit = ws.s[i] / ws.gdx[i];
-              if (0.99 * limit < step) step = 0.99 * limit;
-            }
-          }
-        }
-        const double f0 =
-            lane.t * it.objective->value(lane.x) + barrier_value(ws.s);
-        const double slope = linalg::dot(ws.grad, ws.dx);
-        bool moved = false;
-        for (int ls = 0; ls < 60; ++ls) {
-          ws.x_try = lane.x;
-          linalg::axpy(step, ws.dx, ws.x_try);
-          slacks_into(*it.g, *it.h, ws.x_try, ws.s_try);
-          if (min_slack(ws.s_try) > 0.0) {
-            const double f_try = lane.t * it.objective->value(ws.x_try) +
-                                 barrier_value(ws.s_try);
-            if (f_try <= f0 + o.line_search_alpha * step * slope) {
-              lane.x.swap(ws.x_try);
-              moved = true;
-              break;
-            }
-          }
-          step *= o.line_search_beta;
-          ++lane.backtracks_total;
-        }
-        if (!moved) {
-          lane_end_center(lane);
-          continue;
-        }
-      } catch (const std::exception& e) {
-        lane_fail(lane, e);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 IpmResult solve_barrier(const ConvexObjective& objective, const Matrix& g,
@@ -867,120 +473,6 @@ IpmResult solve_barrier(const ConvexObjective& objective,
   IpmScratch local;
   return solve_barrier_impl(objective, SparseG{g}, h, x0, options,
                             scratch != nullptr ? *scratch : local);
-}
-
-void solve_barrier_batch(BarrierBatchItem* items, std::size_t count) {
-  if (count == 0) return;
-  const bool obs_on = obs::metrics_enabled();
-  if (obs_on) batch_metrics().solves->inc(count);
-
-  // Materialize a scratch per instance (owned when the caller passed none) so
-  // the router can probe the sparse-structure signature in place.
-  std::vector<std::unique_ptr<IpmScratch>> owned;
-  std::vector<IpmScratch*> ws(count, nullptr);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (items[i].scratch != nullptr) {
-      ws[i] = items[i].scratch;
-    } else {
-      owned.push_back(std::make_unique<IpmScratch>());
-      ws[i] = owned.back().get();
-    }
-  }
-
-  // Route every instance. Sparse-path instances share one symbolic analysis
-  // per structure signature (the donor's cache is copied — analysis is
-  // structure-pure); dense-path instances group by dimension for lockstep.
-  std::vector<std::size_t> sparse_items;
-  std::unordered_map<std::uint64_t, std::size_t> donor_of;
-  std::map<std::size_t, std::vector<std::size_t>> dense_by_n;
-  for (std::size_t i = 0; i < count; ++i) {
-    BarrierBatchItem& it = items[i];
-    it.error.clear();
-    it.result = IpmResult{};
-    if (it.objective == nullptr || it.g == nullptr || it.h == nullptr ||
-        it.x0 == nullptr) {
-      it.error = "null field in BarrierBatchItem";
-      it.result.detail = it.error;
-      continue;
-    }
-    const std::size_t n = it.x0->size();
-    bool use_sparse = false;
-    try {
-      std::uint64_t sig = 0;
-      SparseNormalCache& c = ws[i]->normal;
-      if (sparse_structure_signature(*it.objective, it.g, n, it.options, c,
-                                     sig)) {
-        if (c.valid && sig == c.signature) {
-          use_sparse = c.use_sparse;
-        } else if (const auto donor = donor_of.find(sig);
-                   donor != donor_of.end()) {
-          c = ws[donor->second]->normal;
-          if (obs_on) batch_metrics().symbolic_adopted->inc();
-          use_sparse = c.use_sparse;
-        } else {
-          use_sparse =
-              prepare_sparse_normal(*it.objective, it.g, n, it.options, c);
-          if (c.valid) donor_of.emplace(sig, i);
-        }
-      }
-    } catch (const std::exception& e) {
-      it.error = e.what();
-      it.result.detail = it.error;
-      continue;
-    }
-    if (use_sparse)
-      sparse_items.push_back(i);
-    else
-      dense_by_n[n].push_back(i);
-  }
-
-  // One task per sparse instance (the serial solver reuses the primed cache)
-  // plus one per dense lockstep chunk; everything fans out over the shared
-  // pool. Chunking bounds the SoA arena and gives the pool units to balance;
-  // per-instance results are bitwise independent of the chunking.
-  constexpr std::size_t kMaxLanes = 64;
-  std::vector<std::function<void()>> tasks;
-  for (const std::size_t i : sparse_items) {
-    tasks.push_back([&items, &ws, i] {
-      BarrierBatchItem& it = items[i];
-      try {
-        it.result = solve_barrier(*it.objective, *it.g, *it.h, *it.x0,
-                                  it.options, ws[i]);
-      } catch (const std::exception& e) {
-        it.error = e.what();
-        it.result.status = SolveStatus::kNumericalError;
-        it.result.detail = it.error;
-      }
-    });
-  }
-  std::vector<std::vector<std::size_t>> chunks;
-  for (auto& [n, idxs] : dense_by_n) {
-    for (std::size_t at = 0; at < idxs.size(); at += kMaxLanes) {
-      const std::size_t len = std::min(kMaxLanes, idxs.size() - at);
-      chunks.emplace_back(idxs.begin() + static_cast<std::ptrdiff_t>(at),
-                          idxs.begin() + static_cast<std::ptrdiff_t>(at + len));
-    }
-  }
-  for (const auto& chunk : chunks) {
-    tasks.push_back([&items, &ws, &chunk, obs_on] {
-      std::vector<BarrierBatchItem*> group;
-      std::vector<IpmScratch*> group_ws;
-      group.reserve(chunk.size());
-      group_ws.reserve(chunk.size());
-      for (const std::size_t i : chunk) {
-        group.push_back(&items[i]);
-        group_ws.push_back(ws[i]);
-      }
-      if (obs_on)
-        batch_metrics().lockstep_instances->inc(
-            static_cast<std::uint64_t>(group.size()));
-      run_dense_lockstep(group.data(), group_ws.data(), group.size(),
-                         group.front()->x0->size(), obs_on);
-    });
-  }
-  util::parallel_for(
-      0, tasks.size(), [&tasks](std::size_t k) { tasks[k](); }, 1,
-      util::ForSchedule::kGuided);
 }
 
 }  // namespace sora::solver

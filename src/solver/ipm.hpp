@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
@@ -161,37 +160,5 @@ IpmResult solve_barrier(const ConvexObjective& objective,
                         const linalg::SparseMatrix& g, const linalg::Vec& h,
                         const linalg::Vec& x0, const IpmOptions& options = {},
                         IpmScratch* scratch = nullptr);
-
-/// One instance of a batched barrier solve: the same inputs the CSR
-/// solve_barrier overload takes, by pointer so a caller can stage a whole
-/// fleet cheaply. `error` is filled (and result.status left kNumericalError)
-/// when the instance's solve threw — the batch equivalent of the try/catch a
-/// caller would wrap around a serial solve_barrier call.
-struct BarrierBatchItem {
-  const ConvexObjective* objective = nullptr;
-  const linalg::SparseMatrix* g = nullptr;
-  const linalg::Vec* h = nullptr;
-  const linalg::Vec* x0 = nullptr;
-  IpmOptions options;
-  IpmScratch* scratch = nullptr;  // optional; a private scratch is used when null
-  IpmResult result;               // out
-  std::string error;              // out: non-empty iff the solve threw
-};
-
-/// Solve many independent barrier problems as one batch. Semantics per
-/// instance are identical to solve_barrier — bitwise, not just numerically:
-///
-///   * dense-path instances of equal dimension advance in lockstep, with the
-///     Newton factor+solve running across the batch in a structure-of-arrays
-///     kernel (linalg::BatchedDenseCholesky) whose per-lane arithmetic
-///     mirrors the serial one; a lane whose plain factor fails drops to the
-///     serial regularized factor for that step, exactly as the serial path
-///     escalates;
-///   * sparse-path instances run the serial solver, but instances sharing a
-///     constraint-structure signature perform ONE symbolic analysis and the
-///     rest adopt the donor's cache (analysis is structure-pure);
-///   * instances are distributed over util::ThreadPool::shared(); results do
-///     not depend on thread count or batch composition.
-void solve_barrier_batch(BarrierBatchItem* items, std::size_t count);
 
 }  // namespace sora::solver

@@ -42,6 +42,17 @@ struct HookGuard {
 };
 
 // ---------------------------------------------------------------------------
+// Backend taxonomy: kNumBackends sizes the per-backend metric table, so every
+// index below it must be a named enumerator.
+
+TEST(SolveBackendNames, EveryBackendBelowCountIsNamed) {
+  ASSERT_GT(core::kNumBackends, 0u);
+  for (std::size_t b = 0; b < core::kNumBackends; ++b)
+    EXPECT_STRNE(core::to_string(static_cast<SolveBackend>(b)), "?")
+        << "backend " << b;
+}
+
+// ---------------------------------------------------------------------------
 // Hook plumbing.
 
 TEST(FaultHook, InstallConsultClear) {

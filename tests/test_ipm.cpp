@@ -235,131 +235,5 @@ TEST(Ipm, EntropicVectorAgainstGridSearch) {
   EXPECT_NEAR(r.objective, best, 5e-3);
 }
 
-// ---------------------------------------------------------------------------
-// Batched barrier solves: solve_barrier_batch must reproduce the serial
-// solve_barrier bit for bit on every instance — mixed dimensions (lockstep
-// groups form per n), mixed objectives, a failing instance, and a
-// malformed item.
-
-TEST(IpmBatch, MixedBatchBitwiseMatchesSerial) {
-  using linalg::SparseMatrix;
-
-  // Three distinct problems; two share n = 2 (one lockstep pair), one has
-  // n = 3 (its own group).
-  Quadratic proj({3.0, 3.0});
-  Matrix g_proj(3, 2, 0.0);
-  g_proj(0, 0) = 1.0;
-  g_proj(0, 1) = 1.0;
-  g_proj(1, 0) = -1.0;
-  g_proj(2, 1) = -1.0;
-  const SparseMatrix gs_proj = SparseMatrix::from_dense(g_proj);
-  const Vec h_proj{4.0, 0.0, 0.0};
-  const Vec x0_proj{1.0, 1.0};
-
-  Entropic ent({0.5, 1.5}, 1e-3);
-  Matrix g_ent(4, 2, 0.0);
-  g_ent(0, 0) = 1.0;
-  g_ent(1, 1) = 1.0;
-  g_ent(2, 0) = -1.0;
-  g_ent(3, 1) = -1.0;
-  const SparseMatrix gs_ent = SparseMatrix::from_dense(g_ent);
-  const Vec h_ent{5.0, 5.0, 0.0, 0.0};
-  const Vec x0_ent{1.0, 1.0};
-
-  Quadratic box({0.5, -2.0, 4.0});
-  Matrix g_box(6, 3, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    g_box(i, i) = 1.0;
-    g_box(3 + i, i) = -1.0;
-  }
-  const SparseMatrix gs_box = SparseMatrix::from_dense(g_box);
-  const Vec h_box{3.0, 3.0, 3.0, 3.0, 3.0, 3.0};
-  const Vec x0_box{0.0, 0.0, 0.0};
-
-  // Infeasible start: serial solve_barrier reports non-ok without throwing;
-  // the batch must surface the identical result, not an error.
-  const Vec x0_bad{10.0, 10.0};
-
-  const IpmOptions opts;
-  const IpmResult serial[] = {
-      solve_barrier(proj, gs_proj, h_proj, x0_proj, opts),
-      solve_barrier(ent, gs_ent, h_ent, x0_ent, opts),
-      solve_barrier(box, gs_box, h_box, x0_box, opts),
-      solve_barrier(proj, gs_proj, h_proj, x0_bad, opts),
-  };
-  ASSERT_TRUE(serial[0].ok());
-  ASSERT_TRUE(serial[1].ok());
-  ASSERT_TRUE(serial[2].ok());
-  ASSERT_FALSE(serial[3].ok());
-
-  BarrierBatchItem items[5];
-  const auto stage = [&items, &opts](int k, const ConvexObjective& f,
-                                     const SparseMatrix& g, const Vec& h,
-                                     const Vec& x0) {
-    items[k].objective = &f;
-    items[k].g = &g;
-    items[k].h = &h;
-    items[k].x0 = &x0;
-    items[k].options = opts;
-  };
-  stage(0, proj, gs_proj, h_proj, x0_proj);
-  stage(1, ent, gs_ent, h_ent, x0_ent);
-  stage(2, box, gs_box, h_box, x0_box);
-  stage(3, proj, gs_proj, h_proj, x0_bad);
-  // items[4] keeps its null fields: must be reported per-item, not thrown.
-  solve_barrier_batch(items, 5);
-
-  for (int k = 0; k < 4; ++k) {
-    SCOPED_TRACE(k);
-    EXPECT_TRUE(items[k].error.empty()) << items[k].error;
-    EXPECT_EQ(items[k].result.status, serial[k].status);
-    EXPECT_EQ(items[k].result.detail, serial[k].detail);
-    EXPECT_EQ(items[k].result.newton_steps, serial[k].newton_steps);
-    EXPECT_EQ(items[k].result.objective, serial[k].objective);
-    ASSERT_EQ(items[k].result.x.size(), serial[k].x.size());
-    for (std::size_t i = 0; i < serial[k].x.size(); ++i)
-      EXPECT_EQ(items[k].result.x[i], serial[k].x[i]) << "x_" << i;
-    ASSERT_EQ(items[k].result.ineq_dual.size(), serial[k].ineq_dual.size());
-    for (std::size_t i = 0; i < serial[k].ineq_dual.size(); ++i)
-      EXPECT_EQ(items[k].result.ineq_dual[i], serial[k].ineq_dual[i])
-          << "dual_" << i;
-  }
-  EXPECT_FALSE(items[4].error.empty());
-  EXPECT_FALSE(items[4].result.ok());
-}
-
-TEST(IpmBatch, ScratchReuseAcrossRepeatedBatches) {
-  // The per-slot P2 chain hands the same scratch back every slot; repeated
-  // batched solves through one scratch must keep returning the same bits.
-  using linalg::SparseMatrix;
-  Quadratic proj({2.0, -1.0});
-  Matrix g(4, 2, 0.0);
-  g(0, 0) = 1.0;
-  g(1, 1) = 1.0;
-  g(2, 0) = -1.0;
-  g(3, 1) = -1.0;
-  const SparseMatrix gs = SparseMatrix::from_dense(g);
-  const Vec h{3.0, 3.0, 3.0, 3.0};
-  const Vec x0{0.0, 0.0};
-
-  const IpmResult ref = solve_barrier(proj, gs, h, x0);
-  ASSERT_TRUE(ref.ok());
-
-  IpmScratch scratch;
-  for (int round = 0; round < 3; ++round) {
-    BarrierBatchItem item;
-    item.objective = &proj;
-    item.g = &gs;
-    item.h = &h;
-    item.x0 = &x0;
-    item.scratch = &scratch;
-    solve_barrier_batch(&item, 1);
-    ASSERT_TRUE(item.error.empty()) << item.error;
-    ASSERT_TRUE(item.result.ok()) << "round " << round;
-    for (std::size_t i = 0; i < ref.x.size(); ++i)
-      EXPECT_EQ(item.result.x[i], ref.x[i]) << "round " << round;
-  }
-}
-
 }  // namespace
 }  // namespace sora::solver
